@@ -489,60 +489,51 @@ func BenchmarkRepairStage(b *testing.B) {
 }
 
 // BenchmarkOutcomeStage isolates the Outcome production stage of
-// incremental component re-solves: the sort/merge assembly of every
-// component's read-out unit (AssembledOutcome) against the live
-// delta-patched outcome, on single-fact update toggles of a warm
-// clustered session. The live path splices one component of ~150 into
-// the maintained lists instead of rebuilding them.
+// incremental component re-solves — the live delta-patched outcome —
+// on single-fact update toggles of a warm clustered session. Each
+// update splices one component of ~150 into the maintained lists.
 func BenchmarkOutcomeStage(b *testing.B) {
 	ds := tecore.GenerateClustered(tecore.ClusteredConfig{
 		Clusters: 150, ClusterSize: 6, BridgeRate: 0.1, Seed: 11})
 	probe := tecore.NewQuad("player/00001", "playsFor", "club/00001/probe",
 		tecore.MustInterval(1991, 1993), 0.55)
-	for _, assembled := range []bool{true, false} {
-		mode := tecore.OutcomeLive
-		if assembled {
-			mode = tecore.OutcomeAssembled
+	opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+	b.Run("update/"+tecore.OutcomeLive, func(b *testing.B) {
+		s := tecore.NewSession()
+		if err := s.LoadGraph(ds.Graph); err != nil {
+			b.Fatal(err)
 		}
-		opts := tecore.SolveOptions{
-			Solver: tecore.SolverMLN, ComponentSolve: true, AssembledOutcome: assembled}
-		b.Run("update/"+mode, func(b *testing.B) {
-			s := tecore.NewSession()
-			if err := s.LoadGraph(ds.Graph); err != nil {
-				b.Fatal(err)
-			}
-			if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(opts); err != nil {
-				b.Fatal(err)
-			}
-			var outcomeNS float64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%2 == 0 {
-					if err := s.AddFact(probe); err != nil {
-						b.Fatal(err)
-					}
-				} else {
-					s.RemoveFact(probe)
-				}
-				res, err := s.Solve(opts)
-				if err != nil {
+		if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.Solve(opts); err != nil {
+			b.Fatal(err)
+		}
+		var outcomeNS float64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%2 == 0 {
+				if err := s.AddFact(probe); err != nil {
 					b.Fatal(err)
 				}
-				ocs := res.Stats.Outcome
-				if ocs == nil || ocs.Mode != mode {
-					b.Fatalf("solve reported outcome stats %+v, want mode %s", ocs, mode)
-				}
-				outcomeNS += float64(ocs.Total.Nanoseconds())
-				if !assembled && ocs.Reused == 0 {
-					b.Fatal("live outcome reused nothing on an incremental update")
-				}
+			} else {
+				s.RemoveFact(probe)
 			}
-			b.ReportMetric(outcomeNS/float64(b.N), "outcome-ns/op")
-		})
-	}
+			res, err := s.Solve(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ocs := res.Stats.Outcome
+			if ocs == nil || ocs.Mode != tecore.OutcomeLive {
+				b.Fatalf("solve reported outcome stats %+v, want mode %s", ocs, tecore.OutcomeLive)
+			}
+			outcomeNS += float64(ocs.Total.Nanoseconds())
+			if ocs.Reused == 0 {
+				b.Fatal("live outcome reused nothing on an incremental update")
+			}
+		}
+		b.ReportMetric(outcomeNS/float64(b.N), "outcome-ns/op")
+	})
 }
 
 // --- Concurrent session serving: the HTTP session API under load ---

@@ -9,25 +9,17 @@ import (
 
 // GroundPoint is one size step of the grounding trajectory: a cold
 // grounding pass (forward chaining + program grounding) over the
-// clustered workload, measured on the legacy string-keyed path and on
-// the selectivity-planned compiled pipeline that replaced it. Both
-// passes run on the same loaded session, so the input network is
-// identical; Atoms/Clauses double-check that the two paths produced the
-// same ground network.
+// clustered workload on the selectivity-planned compiled pipeline.
 type GroundPoint struct {
 	Facts       int `json:"facts"`
 	Clusters    int `json:"clusters"`
 	ClusterSize int `json:"cluster_size"`
-	// Atoms and Clauses are the ground-network size (identical on both
-	// paths by the determinism contract).
+	// Atoms and Clauses are the ground-network size.
 	Atoms   int `json:"atoms"`
 	Clauses int `json:"clauses"`
-	// LegacyMS is the pre-compilation grounder (boundness-ordered plans,
-	// string-keyed joins); CompiledMS the selectivity-planned compiled
-	// pipeline. Medians over -reps runs.
-	LegacyMS   float64 `json:"legacy_ms"`
+	// CompiledMS is the cold grounding wall time, median over -reps
+	// runs.
 	CompiledMS float64 `json:"compiled_ms"`
-	Speedup    float64 `json:"speedup"`
 }
 
 // GroundReport is the BENCH_ground.json schema.
@@ -38,7 +30,7 @@ type GroundReport struct {
 	Points     []GroundPoint `json:"points"`
 }
 
-func runGround(dir, sizes string, clusterSize, reps int, assertSpeedup float64) error {
+func runGround(dir, sizes string, clusterSize, reps int, budgetMS float64) error {
 	sizeList, err := parseSizeList(sizes)
 	if err != nil {
 		return fmt.Errorf("-ground-facts: %w", err)
@@ -63,55 +55,31 @@ func runGround(dir, sizes string, clusterSize, reps int, assertSpeedup float64) 
 			return err
 		}
 		pt := GroundPoint{Facts: len(ds.Graph), Clusters: clusters, ClusterSize: clusterSize}
-
-		for _, legacy := range []bool{true, false} {
-			ms, err := medianMS(reps, func() error {
-				runtime.GC() // keep the previous pass's garbage out of the timed window
-				stats, atoms, clauses, err := tecore.GroundProfile(s, legacy, 1)
-				if err != nil {
-					return err
-				}
-				if stats.Compiled == legacy {
-					return fmt.Errorf("grounding took the wrong path (legacy=%v, compiled=%v)",
-						legacy, stats.Compiled)
-				}
-				if legacy {
-					pt.Atoms, pt.Clauses = atoms, clauses
-				} else if pt.Atoms != atoms || pt.Clauses != clauses {
-					return fmt.Errorf("ground network diverged: legacy %d atoms/%d clauses, compiled %d/%d",
-						pt.Atoms, pt.Clauses, atoms, clauses)
-				}
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			if legacy {
-				pt.LegacyMS = ms
-			} else {
-				pt.CompiledMS = ms
-			}
+		ms, err := medianMS(reps, func() error {
+			runtime.GC() // keep the previous pass's garbage out of the timed window
+			_, atoms, clauses, err := tecore.GroundProfile(s, 1)
+			pt.Atoms, pt.Clauses = atoms, clauses
+			return err
+		})
+		if err != nil {
+			return err
 		}
-		if pt.CompiledMS > 0 {
-			// Guard the division: a zero median would put +Inf in the
-			// report, which JSON cannot encode.
-			pt.Speedup = pt.LegacyMS / pt.CompiledMS
-		}
+		pt.CompiledMS = ms
 		report.Points = append(report.Points, pt)
-		fmt.Printf("ground: %d facts — legacy %.0fms, compiled %.0fms, %.2fx (%d atoms, %d clauses)\n",
-			pt.Facts, pt.LegacyMS, pt.CompiledMS, pt.Speedup, pt.Atoms, pt.Clauses)
+		fmt.Printf("ground: %d facts — compiled %.0fms (%d atoms, %d clauses)\n",
+			pt.Facts, pt.CompiledMS, pt.Atoms, pt.Clauses)
 	}
 	if err := writeReport(dir, "BENCH_ground.json", report); err != nil {
 		return err
 	}
-	if assertSpeedup > 0 {
+	if budgetMS > 0 {
 		last := report.Points[len(report.Points)-1]
-		if last.Speedup < assertSpeedup {
-			return fmt.Errorf("compiled grounding speedup %.2fx at %d facts below required %.2fx",
-				last.Speedup, last.Facts, assertSpeedup)
+		if last.CompiledMS > budgetMS {
+			return fmt.Errorf("cold grounding %.1fms at %d facts exceeds the %.1fms budget",
+				last.CompiledMS, last.Facts, budgetMS)
 		}
-		fmt.Printf("ground speedup assertion ok: %.2fx ≥ %.2fx at %d facts\n",
-			last.Speedup, assertSpeedup, last.Facts)
+		fmt.Printf("ground budget assertion ok: %.1fms ≤ %.1fms at %d facts\n",
+			last.CompiledMS, budgetMS, last.Facts)
 	}
 	return nil
 }

@@ -12,10 +12,9 @@
 //	                        read-out (conflict analysis, confidences,
 //	                        violation counts) on incremental re-solves of
 //	                        the clustered benchmark
-//	BENCH_outcome.json      from-scratch Outcome assembly (sort/merge of
-//	                        every component's facts and clusters) vs the
-//	                        live delta-patched outcome on incremental
-//	                        re-solves of the clustered benchmark
+//	BENCH_outcome.json      the live delta-patched Outcome stage on
+//	                        incremental re-solves of the clustered
+//	                        benchmark
 //	BENCH_serve.json        HTTP session serving under concurrent load:
 //	                        K sessions streaming batch updates, serial vs
 //	                        concurrent throughput and latency percentiles,
@@ -25,13 +24,10 @@
 //	                        store's own estimate), cold-solve time and
 //	                        single-fact update latency at 10⁵–10⁷ facts
 //	BENCH_update.json       single-fact update latency over fact count
-//	                        with the delta-maintained solve plan vs the
-//	                        from-scratch rebuilt plan (RebuildPlan),
+//	                        with the delta-maintained solve plan,
 //	                        p50/p99 plus per-stage breakdown
-//	BENCH_ground.json       cold grounding wall-clock over fact count:
-//	                        the legacy string-keyed grounder vs the
-//	                        selectivity-planned compiled pipeline on the
-//	                        identical network
+//	BENCH_ground.json       cold grounding wall-clock over fact count on
+//	                        the selectivity-planned compiled pipeline
 //	BENCH_restart.json      process restart with and without the durable
 //	                        session directory: cold (re-parse + reload +
 //	                        cold solve) vs warm (snapshot load + WAL
@@ -45,9 +41,9 @@
 //	             [-scale-facts N,N,...] [-scale-cluster-size N]
 //	             [-ground-facts N,N,...] [-update-facts N,N,...]
 //	             [-restart-facts N] [-restart-cluster-size N]
-//	             [-assert-repair-speedup X] [-assert-outcome-speedup X]
+//	             [-assert-repair-speedup X] [-assert-outcome-ms MS]
 //	             [-assert-serve-speedup X] [-assert-bytes-per-fact B]
-//	             [-assert-ground-speedup X] [-assert-plan-speedup X]
+//	             [-assert-ground-ms MS] [-assert-plan-sync-ms MS]
 //	             [-assert-restart-speedup X]
 //
 // The scale, ground, update and restart scenarios are not part of
@@ -55,9 +51,9 @@
 // gigabytes by design; request them explicitly (CI runs them at small
 // smoke sizes).
 //
-// Timings are medians of R runs on the local machine; absolute numbers
-// are substrate-dependent, ratios (speedup, scaling) are the tracked
-// signal.
+// Timings are medians of R runs on the local machine. The -assert-*-ms
+// gates are absolute latency budgets; the -assert-*-speedup gates
+// compare two production paths.
 package main
 
 import (
@@ -83,8 +79,8 @@ func main() {
 	reps := flag.Int("reps", 3, "runs per measurement (median reported)")
 	assertRepair := flag.Float64("assert-repair-speedup", 0,
 		"repair scenario: exit non-zero unless the largest workload's incremental repair speedup reaches this factor (0 = no assertion)")
-	assertOutcome := flag.Float64("assert-outcome-speedup", 0,
-		"outcome scenario: exit non-zero unless the largest workload's live-outcome speedup reaches this factor (0 = no assertion)")
+	assertOutcome := flag.Float64("assert-outcome-ms", 0,
+		"outcome scenario: exit non-zero if the largest workload's median live-outcome stage exceeds this budget in ms (0 = no assertion)")
 	assertServe := flag.Float64("assert-serve-speedup", 0,
 		"serve scenario: exit non-zero unless concurrent throughput beats serial by this factor (0 = no assertion)")
 	scaleFacts := flag.String("scale-facts", "100000,300000,1000000",
@@ -95,12 +91,12 @@ func main() {
 		"scale scenario: exit non-zero if the last point's loaded bytes/fact exceeds this budget (0 = no assertion)")
 	groundFacts := flag.String("ground-facts", "100000,300000,1000000",
 		"ground scenario: comma-separated target fact counts to sweep")
-	assertGround := flag.Float64("assert-ground-speedup", 0,
-		"ground scenario: exit non-zero unless the largest workload's compiled-grounding speedup over the legacy path reaches this factor (0 = no assertion)")
+	assertGround := flag.Float64("assert-ground-ms", 0,
+		"ground scenario: exit non-zero if the largest workload's median cold grounding time exceeds this budget in ms (0 = no assertion)")
 	updateFacts := flag.String("update-facts", "100000,300000,1000000",
 		"update scenario: comma-separated target fact counts to sweep")
-	assertPlan := flag.Float64("assert-plan-speedup", 0,
-		"update scenario: exit non-zero unless the largest workload's maintained-plan stage speedup over the rebuilt plan reaches this factor (0 = no assertion)")
+	assertPlan := flag.Float64("assert-plan-sync-ms", 0,
+		"update scenario: exit non-zero if the largest workload's plan sync p50 exceeds this budget in ms (0 = no assertion)")
 	restartFacts := flag.Int("restart-facts", 100000,
 		"restart scenario: target fact count for the cold/warm restart comparison")
 	restartClusterSize := flag.Int("restart-cluster-size", 60,
@@ -576,13 +572,10 @@ func runRepair(dir string, clusters, reps int, assertSpeedup float64) error {
 	return nil
 }
 
-// OutcomeScenario compares the Outcome production stage — the final
-// sort/merge of kept/removed/inferred facts and conflict clusters —
-// between from-scratch assembly and the live delta-patched outcome at
-// one cluster count, on single-fact update re-solves of a warm
-// component session. Everything upstream (grounding sync, solver,
-// repair units) is identical on both sides; only the read-out's merge
-// differs.
+// OutcomeScenario measures the Outcome production stage — the live
+// delta-patched outcome (splice the dirtied component, materialize from
+// the maintained indices) — at one cluster count, on single-fact update
+// re-solves of a warm component session.
 type OutcomeScenario struct {
 	Clusters int `json:"clusters"`
 	Facts    int `json:"facts"`
@@ -591,14 +584,9 @@ type OutcomeScenario struct {
 	Components        int `json:"components"`
 	PatchedComponents int `json:"patched_components"`
 	ReusedComponents  int `json:"reused_components"`
-	// AssembledOutcomeMS is the median outcome stage of an incremental
-	// re-solve that re-assembles the full Outcome (PR 4's sort/merge of
-	// every component's unit); LiveOutcomeMS is the delta-patched stage
-	// (splice the dirtied component, materialize from the maintained
-	// indices).
-	AssembledOutcomeMS float64 `json:"assembled_outcome_ms"`
-	LiveOutcomeMS      float64 `json:"live_outcome_ms"`
-	Speedup            float64 `json:"speedup"`
+	// LiveOutcomeMS is the median outcome stage of an incremental
+	// re-solve.
+	LiveOutcomeMS float64 `json:"live_outcome_ms"`
 }
 
 // OutcomeReport is the BENCH_outcome.json schema.
@@ -610,7 +598,7 @@ type OutcomeReport struct {
 	Scenarios  []OutcomeScenario `json:"scenarios"`
 }
 
-func runOutcome(dir string, clusters, reps int, assertSpeedup float64) error {
+func runOutcome(dir string, clusters, reps int, budgetMS float64) error {
 	sizes := []int{100, 400}
 	if clusters > 0 {
 		sizes = []int{clusters}
@@ -628,88 +616,65 @@ func runOutcome(dir string, clusters, reps int, assertSpeedup float64) error {
 			tecore.MustInterval(1991, 1993), 0.55)
 		sc := OutcomeScenario{Clusters: n, Facts: len(ds.Graph)}
 
-		for _, assembled := range []bool{true, false} {
-			s := tecore.NewSession()
-			if err := s.LoadGraph(ds.Graph); err != nil {
-				return err
+		s := tecore.NewSession()
+		if err := s.LoadGraph(ds.Graph); err != nil {
+			return err
+		}
+		if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
+			return err
+		}
+		opts := tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true}
+		res, err := s.Solve(opts)
+		if err != nil {
+			return err
+		}
+		if res.Stats.Outcome == nil {
+			return fmt.Errorf("solve reported no outcome stage stats")
+		}
+		toggle := false
+		var outcomeMS []float64
+		for i := 0; i < reps*4; i++ {
+			toggle = !toggle
+			if toggle {
+				if err := s.AddFact(probe); err != nil {
+					return err
+				}
+			} else {
+				s.RemoveFact(probe)
 			}
-			if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
-				return err
-			}
-			opts := tecore.SolveOptions{
-				Solver: tecore.SolverMLN, ComponentSolve: true, AssembledOutcome: assembled}
+			// Quiesce the heap so a collection triggered by earlier
+			// iterations' garbage doesn't land inside the timed stage.
+			runtime.GC()
 			res, err := s.Solve(opts)
 			if err != nil {
 				return err
 			}
-			// The live outcome must stay byte-identical to assembly; spot
-			// check the cold solve against a whole-graph re-assembly via
-			// the stats the differential suite compares in depth.
-			if res.Stats.Outcome == nil {
-				return fmt.Errorf("solve reported no outcome stage stats")
+			if !res.Incremental {
+				return fmt.Errorf("update solve did not take the delta path")
 			}
-			toggle := false
-			var outcomeMS []float64
-			for i := 0; i < reps*4; i++ {
-				toggle = !toggle
-				if toggle {
-					if err := s.AddFact(probe); err != nil {
-						return err
-					}
-				} else {
-					s.RemoveFact(probe)
-				}
-				// Quiesce the heap so a collection triggered by earlier
-				// iterations' garbage doesn't land inside the timed stage.
-				runtime.GC()
-				res, err := s.Solve(opts)
-				if err != nil {
-					return err
-				}
-				if !res.Incremental {
-					return fmt.Errorf("update solve did not take the delta path")
-				}
-				ocs := res.Stats.Outcome
-				wantMode := tecore.OutcomeLive
-				if assembled {
-					wantMode = tecore.OutcomeAssembled
-				}
-				if ocs == nil || ocs.Mode != wantMode {
-					return fmt.Errorf("outcome mode = %+v, want %q", ocs, wantMode)
-				}
-				outcomeMS = append(outcomeMS, float64(ocs.Total.Nanoseconds())/1e6)
-				if !assembled {
-					sc.Components = res.Stats.Repair.Components
-					sc.PatchedComponents = ocs.Patched
-					sc.ReusedComponents = ocs.Reused
-				}
+			ocs := res.Stats.Outcome
+			if ocs == nil || ocs.Mode != tecore.OutcomeLive {
+				return fmt.Errorf("outcome mode = %+v, want %q", ocs, tecore.OutcomeLive)
 			}
-			sort.Float64s(outcomeMS)
-			med := outcomeMS[len(outcomeMS)/2]
-			if assembled {
-				sc.AssembledOutcomeMS = med
-			} else {
-				sc.LiveOutcomeMS = med
-			}
+			outcomeMS = append(outcomeMS, float64(ocs.Total.Nanoseconds())/1e6)
+			sc.Components = res.Stats.Repair.Components
+			sc.PatchedComponents = ocs.Patched
+			sc.ReusedComponents = ocs.Reused
 		}
-		if sc.LiveOutcomeMS > 0 {
-			// Guard the division: a zero median would put +Inf in the
-			// report, which JSON cannot encode.
-			sc.Speedup = sc.AssembledOutcomeMS / sc.LiveOutcomeMS
-		}
+		sc.LiveOutcomeMS = median(outcomeMS)
 		report.Scenarios = append(report.Scenarios, sc)
 	}
 	if err := writeReport(dir, "BENCH_outcome.json", report); err != nil {
 		return err
 	}
-	if assertSpeedup > 0 {
+	if budgetMS > 0 {
 		last := report.Scenarios[len(report.Scenarios)-1]
-		if last.Speedup < assertSpeedup {
-			return fmt.Errorf("live outcome speedup %.2fx at %d clusters below required %.2fx",
-				last.Speedup, last.Clusters, assertSpeedup)
+		if last.LiveOutcomeMS > budgetMS {
+			return fmt.Errorf("live outcome stage %.4fms at %d clusters exceeds the %.4fms budget",
+				last.LiveOutcomeMS, last.Clusters, budgetMS)
 		}
-		fmt.Printf("outcome speedup assertion ok: %.2fx ≥ %.2fx at %d clusters\n",
-			last.Speedup, assertSpeedup, last.Clusters)
+		fmt.Printf("outcome budget assertion ok: %.4fms ≤ %.4fms at %d clusters\n",
+			last.LiveOutcomeMS, budgetMS, last.Clusters)
 	}
 	return nil
 }

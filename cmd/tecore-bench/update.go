@@ -10,14 +10,12 @@ import (
 )
 
 // UpdatePoint is one size step of the update scenario: single-fact
-// update latency on a warm session with the delta-maintained solve plan
-// vs the from-scratch rebuilt plan (SolveOptions.RebuildPlan), plus the
-// per-stage breakdown of the maintained path. The headline maintained
-// and rebuilt latencies run with SolveOptions.DeltaOnly — the
-// update-serving configuration, consuming Resolution.Delta without
-// materializing the global lists; Snapshot* reports the maintained
-// path with full list materialization for consumers that read the
-// whole Outcome every solve.
+// update latency on a warm session with the delta-maintained solve
+// plan, plus its per-stage breakdown. The headline maintained latency
+// runs with SolveOptions.DeltaOnly — the update-serving configuration,
+// consuming Resolution.Delta without materializing the global lists;
+// Snapshot* reports the same path with full list materialization for
+// consumers that read the whole Outcome every solve.
 type UpdatePoint struct {
 	Facts       int `json:"facts"`
 	Clusters    int `json:"clusters"`
@@ -29,25 +27,13 @@ type UpdatePoint struct {
 	// DeltaOnly read-out.
 	MaintainedP50MS float64 `json:"maintained_p50_ms"`
 	MaintainedP99MS float64 `json:"maintained_p99_ms"`
-	// Rebuilt*: the same updates with RebuildPlan forcing a from-scratch
-	// NewPlan every solve — the pre-maintenance baseline (same DeltaOnly
-	// read-out).
-	RebuiltP50MS float64 `json:"rebuilt_p50_ms"`
-	RebuiltP99MS float64 `json:"rebuilt_p99_ms"`
 	// Snapshot*: maintained plan with full list materialization
 	// (DeltaOnly off) — the cost of reading the whole Outcome per solve.
 	SnapshotP50MS float64 `json:"snapshot_p50_ms"`
 	SnapshotP99MS float64 `json:"snapshot_p99_ms"`
-	// PlanSpeedup compares the plan stage alone: rebuilt NewPlan wall
-	// time vs the maintained sync (both medians). TotalSpeedup compares
-	// the end-to-end update latencies.
-	PlanSpeedup  float64 `json:"plan_speedup"`
-	TotalSpeedup float64 `json:"total_speedup"`
-	// Per-stage medians of the maintained path (the rebuilt path differs
-	// only in the plan stage, reported alongside).
+	// Per-stage medians of the maintained path.
 	GroundP50MS       float64 `json:"ground_p50_ms"`
 	PlanSyncP50MS     float64 `json:"plan_sync_p50_ms"`
-	RebuiltPlanP50MS  float64 `json:"rebuilt_plan_p50_ms"`
 	SolverP50MS       float64 `json:"solver_p50_ms"`
 	RepairP50MS       float64 `json:"repair_p50_ms"`
 	OutcomeP50MS      float64 `json:"outcome_p50_ms"`
@@ -88,7 +74,7 @@ func median(samples []float64) float64 {
 	return sorted[len(sorted)/2]
 }
 
-func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float64) error {
+func runUpdate(dir, sizes string, clusterSize, reps int, planBudgetMS float64) error {
 	sizeList, err := parseSizeList(sizes)
 	if err != nil {
 		return fmt.Errorf("-update-facts: %w", err)
@@ -117,12 +103,11 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 		if err := s.LoadProgramText(tecore.ClusteredProgram); err != nil {
 			return err
 		}
-		opts := func(rebuild, deltaOnly bool) tecore.SolveOptions {
+		opts := func(deltaOnly bool) tecore.SolveOptions {
 			return tecore.SolveOptions{
-				Solver: tecore.SolverMLN, ComponentSolve: true,
-				RebuildPlan: rebuild, DeltaOnly: deltaOnly}
+				Solver: tecore.SolverMLN, ComponentSolve: true, DeltaOnly: deltaOnly}
 		}
-		res, err := s.Solve(opts(false, false))
+		res, err := s.Solve(opts(false))
 		if err != nil {
 			return err
 		}
@@ -133,20 +118,12 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 		if toggles < 8 {
 			toggles = 8
 		}
-		// Both modes run on the same warm session: the rebuilt pass leaves
-		// the journal and change log accumulating, and the next maintained
-		// sync drains them — exactly the mixed-mode contract the
-		// differential suite pins.
 		var lat, planMS, groundMS, solverMS, repairMS, outcomeMS []float64
-		measure := func(rebuild, deltaOnly bool, warmup int) error {
+		measure := func(deltaOnly bool, warmup int) error {
 			lat = lat[:0]
 			planMS, groundMS = planMS[:0], groundMS[:0]
 			solverMS, repairMS, outcomeMS = solverMS[:0], repairMS[:0], outcomeMS[:0]
 			toggle := false
-			wantMode := "maintained"
-			if rebuild {
-				wantMode = "rebuilt"
-			}
 			for i := 0; i < warmup+toggles; i++ {
 				toggle = !toggle
 				runtime.GC() // keep earlier iterations' garbage out of the timed window
@@ -158,7 +135,7 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 				} else {
 					s.RemoveFact(probe)
 				}
-				res, err := s.Solve(opts(rebuild, deltaOnly))
+				res, err := s.Solve(opts(deltaOnly))
 				if err != nil {
 					return err
 				}
@@ -167,8 +144,8 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 					return fmt.Errorf("update solve did not take the delta path")
 				}
 				st := res.Stats
-				if st.Plan == nil || st.Plan.Mode != wantMode {
-					return fmt.Errorf("plan stats = %+v, want mode %q", st.Plan, wantMode)
+				if st.Plan == nil || st.Plan.Mode != "maintained" {
+					return fmt.Errorf("plan stats = %+v, want mode maintained", st.Plan)
 				}
 				wantOutcome := tecore.OutcomeLive
 				if deltaOnly {
@@ -192,18 +169,16 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 				if st.Outcome != nil {
 					outcomeMS = append(outcomeMS, float64(st.Outcome.Total.Nanoseconds())/1e6)
 				}
-				if !rebuild {
-					pt.PatchedComponents = st.Plan.PatchedComponents
-				}
+				pt.PatchedComponents = st.Plan.PatchedComponents
 			}
 			sort.Float64s(lat)
 			return nil
 		}
 
-		// Maintained first (a couple of unmeasured toggles warm the splice
+		// DeltaOnly first (a couple of unmeasured toggles warm the splice
 		// scratch and the probe's atom slots), then the materializing
-		// snapshot column, then the rebuilt baseline.
-		if err := measure(false, true, 2); err != nil {
+		// snapshot column.
+		if err := measure(true, 2); err != nil {
 			return err
 		}
 		pt.MaintainedP50MS = percentile(lat, 50)
@@ -213,27 +188,14 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 		pt.SolverP50MS = median(solverMS)
 		pt.RepairP50MS = median(repairMS)
 		pt.OutcomeP50MS = median(outcomeMS)
-		if err := measure(false, false, 1); err != nil {
+		if err := measure(false, 1); err != nil {
 			return err
 		}
 		pt.SnapshotP50MS = percentile(lat, 50)
 		pt.SnapshotP99MS = percentile(lat, 99)
-		if err := measure(true, true, 1); err != nil {
-			return err
-		}
-		pt.RebuiltP50MS = percentile(lat, 50)
-		pt.RebuiltP99MS = percentile(lat, 99)
-		pt.RebuiltPlanP50MS = median(planMS)
-		if pt.PlanSyncP50MS > 0 {
-			pt.PlanSpeedup = pt.RebuiltPlanP50MS / pt.PlanSyncP50MS
-		}
-		if pt.MaintainedP50MS > 0 {
-			pt.TotalSpeedup = pt.RebuiltP50MS / pt.MaintainedP50MS
-		}
 		report.Points = append(report.Points, pt)
-		fmt.Printf("update: %d facts — maintained p50 %.2fms (p99 %.2fms), snapshot p50 %.2fms, rebuilt p50 %.2fms, plan stage %.3fms vs %.3fms (%.1fx)\n",
-			pt.Facts, pt.MaintainedP50MS, pt.MaintainedP99MS, pt.SnapshotP50MS,
-			pt.RebuiltP50MS, pt.PlanSyncP50MS, pt.RebuiltPlanP50MS, pt.PlanSpeedup)
+		fmt.Printf("update: %d facts — maintained p50 %.2fms (p99 %.2fms), snapshot p50 %.2fms, plan sync %.3fms\n",
+			pt.Facts, pt.MaintainedP50MS, pt.MaintainedP99MS, pt.SnapshotP50MS, pt.PlanSyncP50MS)
 	}
 	first, last := report.Points[0], report.Points[len(report.Points)-1]
 	if first.MaintainedP50MS > 0 {
@@ -242,13 +204,13 @@ func runUpdate(dir, sizes string, clusterSize, reps int, assertPlanSpeedup float
 	if err := writeReport(dir, "BENCH_update.json", report); err != nil {
 		return err
 	}
-	if assertPlanSpeedup > 0 {
-		if last.PlanSpeedup < assertPlanSpeedup {
-			return fmt.Errorf("maintained plan stage speedup %.2fx at %d facts below required %.2fx",
-				last.PlanSpeedup, last.Facts, assertPlanSpeedup)
+	if planBudgetMS > 0 {
+		if last.PlanSyncP50MS > planBudgetMS {
+			return fmt.Errorf("plan sync p50 %.3fms at %d facts exceeds the %.3fms budget",
+				last.PlanSyncP50MS, last.Facts, planBudgetMS)
 		}
-		fmt.Printf("plan speedup assertion ok: %.2fx ≥ %.2fx at %d facts\n",
-			last.PlanSpeedup, assertPlanSpeedup, last.Facts)
+		fmt.Printf("plan sync budget assertion ok: %.3fms ≤ %.3fms at %d facts\n",
+			last.PlanSyncP50MS, planBudgetMS, last.Facts)
 	}
 	return nil
 }

@@ -8,14 +8,10 @@ import (
 // program grounding) over the session's current store and program on a
 // throwaway grounder, without touching the session's cached incremental
 // engine, and returns the grounder's per-rule statistics together with
-// the atom and clause counts of the resulting network. The legacy flag
-// selects the pre-compilation string-keyed path; benchmarks call it
-// twice to compare the compiled pipeline against the baseline it
-// replaced on identical input.
-func GroundProfile(s *Session, legacy bool, parallelism int) (*ground.GroundStats, int, int, error) {
+// the atom and clause counts of the resulting network.
+func GroundProfile(s *Session, parallelism int) (*ground.GroundStats, int, int, error) {
 	g := ground.New(s.st)
 	g.Parallelism = parallelism
-	g.Legacy = legacy
 	if _, err := g.Close(s.prog); err != nil {
 		return nil, 0, 0, err
 	}

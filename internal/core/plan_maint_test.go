@@ -17,12 +17,23 @@ import (
 // same canonical Order, same VarOf, same component partition including
 // generations and local numbering — to a fresh engine.NewPlan over the
 // same engine state, and the Resolution produced through it must be
-// byte-identical to one produced by an identically-driven session that
-// forces SolveOptions.RebuildPlan on every solve. These tests drive
+// byte-identical to one produced by an identically-driven session whose
+// planner is dropped before every solve, so each solve runs on a plan
+// the planner rebuilt from scratch. These tests drive
 // randomized add/remove/solve schedules (single-component dirtying,
 // component merges via bridges, splits via retraction, retract-then-
 // revive, no-delta re-solves) at parallelism 1 and N and check both
 // properties at every step.
+
+// dropPlanner discards the session engine's planner, so the next
+// component solve builds its plan from scratch (the planner's first
+// build) while keeping every other piece of engine state — grounding,
+// warm starts, solution and read-out caches.
+func dropPlanner(s *Session) {
+	if s.engine != nil {
+		s.engine.planner = nil
+	}
+}
 
 // checkPlanMatchesFresh compares the session's maintained plan against
 // a from-scratch NewPlan over the same engine state.
@@ -132,12 +143,13 @@ func testPlanMaintenanceDifferential(t *testing.T, solver translate.Solver, para
 		if err != nil {
 			t.Fatalf("step %d (maintained): %v", step, err)
 		}
-		resB, err := rebuilt.Solve(SolveOptions{Solver: solver, ComponentSolve: true, Parallelism: parallelism, RebuildPlan: true})
+		dropPlanner(rebuilt)
+		resB, err := rebuilt.Solve(SolveOptions{Solver: solver, ComponentSolve: true, Parallelism: parallelism})
 		if err != nil {
 			t.Fatalf("step %d (rebuilt): %v", step, err)
 		}
 		if ps := resB.Stats.Plan; ps == nil || ps.Mode != "rebuilt" {
-			t.Fatalf("step %d: RebuildPlan did not force a rebuild: %+v", step, ps)
+			t.Fatalf("step %d: a dropped planner did not rebuild: %+v", step, ps)
 		}
 		if step > 0 {
 			if ps := resA.Stats.Plan; ps == nil || ps.Mode != "maintained" {
@@ -147,7 +159,7 @@ func testPlanMaintenanceDifferential(t *testing.T, solver translate.Solver, para
 		checkPlanMatchesFresh(t, maint, step)
 		a, b := canonOutcome(resA), canonOutcome(resB)
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("step %d: maintained-plan Resolution diverged from RebuildPlan\nmaintained: %+v\nrebuilt:    %+v",
+			t.Fatalf("step %d: maintained-plan Resolution diverged from the rebuilt plan's\nmaintained: %+v\nrebuilt:    %+v",
 				step, a.Outcome, b.Outcome)
 		}
 	}
@@ -289,9 +301,10 @@ func TestPlanMaintenanceEmptyDelta(t *testing.T) {
 	checkPlanMatchesFresh(t, s, 0)
 }
 
-// TestPlanMaintenanceMixedRebuild interleaves RebuildPlan solves with
-// maintained solves on one session: the deltas a rebuilt solve leaves
-// undrained must be consumed correctly by the next maintained sync.
+// TestPlanMaintenanceMixedRebuild interleaves from-scratch plan
+// rebuilds (a dropped planner) with maintained solves on one session:
+// the rebuild must re-anchor the atom journal and component change log
+// so the next maintained sync patches exactly the later deltas.
 func TestPlanMaintenanceMixedRebuild(t *testing.T) {
 	s := NewSession()
 	if err := s.LoadProgramText(equivProgram); err != nil {
@@ -313,9 +326,10 @@ func TestPlanMaintenanceMixedRebuild(t *testing.T) {
 		} else if err := s.AddFact(pool[step-1]); err != nil {
 			t.Fatal(err)
 		}
-		o := opts
-		o.RebuildPlan = rebuild
-		res, err := s.Solve(o)
+		if rebuild {
+			dropPlanner(s)
+		}
+		res, err := s.Solve(opts)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -326,8 +340,67 @@ func TestPlanMaintenanceMixedRebuild(t *testing.T) {
 		if res.Stats.Plan.Mode != want {
 			t.Fatalf("step %d: plan mode %q, want %q", step, res.Stats.Plan.Mode, want)
 		}
-		if !rebuild {
-			checkPlanMatchesFresh(t, s, step)
+		checkPlanMatchesFresh(t, s, step)
+	}
+}
+
+// TestPlanMaintenanceReorderedComponents drives deltas whose touched
+// components appear in the partition in a different order than their
+// keys sort in (random confidences and retract/re-add cycles regroup
+// atoms while component keys stay put). The partition patch must walk
+// the replaced components in list order, or a stale component stays
+// listed next to its replacement.
+func TestPlanMaintenanceReorderedComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	conf := func() float64 { return 0.5 + 0.45*rng.Float64() }
+	var pool []rdf.Quad
+	for s := 0; s < 5; s++ {
+		subj := fmt.Sprintf("P%d", s)
+		start := int64(2000)
+		for c := 0; c < 4; c++ {
+			end := start + 2 + int64(rng.Intn(3))
+			pool = append(pool, rdf.NewQuad(subj, "coach", fmt.Sprintf("Club_%d_%d", s, c),
+				temporal.MustNew(start, end), conf()))
+			start = end
 		}
+		pool = append(pool, rdf.NewQuad(subj, "playsFor", fmt.Sprintf("Club_%d_0", s),
+			temporal.MustNew(1990, 1995), conf()))
+		if s > 0 {
+			pool = append(pool, rdf.NewQuad(subj, "coach", fmt.Sprintf("Club_%d_0", s-1),
+				temporal.MustNew(2000, 2002), conf()))
+		}
+	}
+	s := NewSession()
+	if err := s.LoadProgramText(equivProgram); err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[int]bool)
+	for i := range pool {
+		if i%2 == 0 {
+			if err := s.AddFact(pool[i]); err != nil {
+				t.Fatal(err)
+			}
+			live[i] = true
+		}
+	}
+	mut := rand.New(rand.NewSource(107))
+	opts := SolveOptions{Solver: translate.SolverPSL, ComponentSolve: true, ComponentExactLimit: 4, Parallelism: 1}
+	for step := 0; step < 8; step++ {
+		for m := 0; m < 1+mut.Intn(3); m++ {
+			i := mut.Intn(len(pool))
+			add := !live[i] || mut.Intn(2) == 0
+			if add {
+				if err := s.AddFact(pool[i]); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				s.RemoveFact(pool[i])
+			}
+			live[i] = add
+		}
+		if _, err := s.Solve(opts); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		checkPlanMatchesFresh(t, s, step)
 	}
 }

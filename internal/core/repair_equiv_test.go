@@ -13,7 +13,7 @@ import (
 
 // The component-decomposed repair read-out's contract is stronger than
 // the cross-session property suite can check: for the SAME solver
-// output (same atom ids, same truth vector), ResolveComponents must
+// output (same atom ids, same truth vector), the component read-out must
 // produce an Outcome byte-identical to whole-graph Resolve — facts,
 // order, explanations, clusters, confidences and statistics — including
 // when most components come out of the repair cache. These tests drive

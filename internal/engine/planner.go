@@ -32,13 +32,13 @@ import (
 //
 // The maintained Plan is byte-identical — same Order, VarOf and Comps —
 // to what a fresh NewPlan over the same state returns; the differential
-// suites assert exactly that. SolveOptions.RebuildPlan keeps the
-// from-scratch path callable as the baseline.
+// suites assert exactly that.
 
 // PlanStats reports how one solve obtained its decomposition plan.
 type PlanStats struct {
 	// Mode is "maintained" (delta-patched persistent plan) or
-	// "rebuilt" (from-scratch NewPlan, or the planner's first build).
+	// "rebuilt" (the planner's first build, or its fallback for a delta
+	// comparable to the whole table).
 	Mode string
 	// Atoms and Components describe the plan: live atoms in canonical
 	// order and conflict components in the partition.
@@ -515,9 +515,15 @@ func (pl *Planner) spliceComps(affected []ground.AtomID) {
 		}
 	}
 
-	// Patch the partition list. In-place when each re-listed group
-	// keeps its slot (same leading atom as the component it replaces);
-	// otherwise merge old list and groups into the spare buffer.
+	// Patch the partition list. From here on the old components' list
+	// indexes are needed in list order, not in affected-key order: a
+	// component's key (its root) says nothing about where its leading
+	// atom sits in the canonical order, and the merge below walks the
+	// list once.
+	slices.Sort(pl.remIdx)
+	// In-place when each re-listed group keeps its slot (same leading
+	// atom as the component it replaces); otherwise merge old list and
+	// groups into the spare buffer.
 	if len(groups) == len(pl.remIdx) {
 		inPlace := true
 		for k := range groups {

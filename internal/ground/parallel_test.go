@@ -145,3 +145,28 @@ func TestParallelismZeroMeansAllCores(t *testing.T) {
 		t.Error("default parallelism output differs from sequential")
 	}
 }
+
+// TestEmptyProgramParallel: a program with no rules grounds to nothing
+// at any worker count — join planning splits work per rule and must
+// not divide by a rule count of zero when several workers are
+// configured.
+func TestEmptyProgramParallel(t *testing.T) {
+	st, _ := footballFixture(t)
+	prog := &logic.Program{}
+	for _, p := range []int{1, 4} {
+		g := New(st)
+		g.Parallelism = p
+		derived, err := g.Close(prog)
+		if err != nil || derived != 0 {
+			t.Fatalf("parallelism %d: Close = %d, %v; want 0, nil", p, derived, err)
+		}
+		cs, err := g.GroundProgram(prog)
+		if err != nil || cs.Len() != 0 {
+			t.Fatalf("parallelism %d: GroundProgram emitted %d clauses, err %v", p, cs.Len(), err)
+		}
+		vs, err := g.GroundViolated(prog, func(AtomID) bool { return false })
+		if err != nil || vs.Len() != 0 {
+			t.Fatalf("parallelism %d: GroundViolated emitted %d clauses, err %v", p, vs.Len(), err)
+		}
+	}
+}

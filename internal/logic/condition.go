@@ -72,9 +72,6 @@ func (op CmpOp) applyInt(l, r int64) bool {
 // between object terms, and arithmetic comparisons.
 type Condition interface {
 	fmt.Stringer
-	// Eval evaluates the condition under a binding. The error reports
-	// unbound variables or non-numeric operands.
-	Eval(b *Binding) (bool, error)
 	// CondVars appends the condition's variables to dst.
 	CondVars(dst []string) []string
 }
@@ -89,19 +86,6 @@ type AllenCond struct {
 	Name string
 	Rels temporal.RelationSet
 	L, R TimeTerm
-}
-
-// Eval implements Condition.
-func (c AllenCond) Eval(b *Binding) (bool, error) {
-	l, ok := b.ResolveTime(c.L)
-	if !ok {
-		return false, fmt.Errorf("logic: unbound time term %s in %s", c.L, c)
-	}
-	r, ok := b.ResolveTime(c.R)
-	if !ok {
-		return false, fmt.Errorf("logic: unbound time term %s in %s", c.R, c)
-	}
-	return c.Rels.Has(temporal.RelationBetween(l, r)), nil
 }
 
 // CondVars implements Condition.
@@ -125,33 +109,6 @@ func (c AllenCond) String() string {
 type CompareCond struct {
 	Op   CmpOp // EQ or NE
 	L, R Term
-}
-
-// Eval implements Condition.
-func (c CompareCond) Eval(b *Binding) (bool, error) {
-	l, ok := b.ResolveTerm(c.L)
-	if !ok {
-		return false, fmt.Errorf("logic: unbound term %s in %s", c.L, c)
-	}
-	r, ok := b.ResolveTerm(c.R)
-	if !ok {
-		return false, fmt.Errorf("logic: unbound term %s in %s", c.R, c)
-	}
-	switch c.Op {
-	case EQ:
-		return l == r, nil
-	case NE:
-		return l != r, nil
-	default:
-		// Ordered comparison of terms: compare numerically when both
-		// parse as integers, lexically otherwise.
-		ln, lerr := termNumber(l)
-		rn, rerr := termNumber(r)
-		if lerr == nil && rerr == nil {
-			return c.Op.applyInt(ln, rn), nil
-		}
-		return c.Op.applyInt(int64(compareStrings(l.Value, r.Value)), 0), nil
-	}
 }
 
 func compareStrings(a, b string) int {
@@ -180,20 +137,16 @@ func (c CompareCond) String() string {
 	return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R)
 }
 
-// NumExpr is an integer-valued expression over the binding: interval
+// NumExpr is an integer-valued expression over bound variables: interval
 // endpoints, durations, numeric object values, constants, and sums and
 // differences thereof.
 type NumExpr interface {
 	fmt.Stringer
-	EvalNum(b *Binding) (int64, error)
 	NumVars(dst []string) []string
 }
 
 // NumConst is an integer literal.
 type NumConst int64
-
-// EvalNum implements NumExpr.
-func (n NumConst) EvalNum(*Binding) (int64, error) { return int64(n), nil }
 
 // NumVars implements NumExpr.
 func (n NumConst) NumVars(dst []string) []string { return dst }
@@ -218,24 +171,6 @@ type TimeNum struct {
 	T   TimeTerm
 }
 
-// EvalNum implements NumExpr.
-func (tn TimeNum) EvalNum(b *Binding) (int64, error) {
-	iv, ok := b.ResolveTime(tn.T)
-	if !ok {
-		return 0, fmt.Errorf("logic: unbound time term %s", tn.T)
-	}
-	switch tn.Acc {
-	case AccStart:
-		return iv.Start, nil
-	case AccEnd:
-		return iv.End, nil
-	case AccDuration:
-		return iv.Duration(), nil
-	default:
-		return 0, fmt.Errorf("logic: unknown time accessor %d", tn.Acc)
-	}
-}
-
 // NumVars implements NumExpr.
 func (tn TimeNum) NumVars(dst []string) []string { return tn.T.Vars(dst) }
 
@@ -253,15 +188,6 @@ func (tn TimeNum) String() string {
 // ObjNum interprets an object term as an integer (e.g. a birthDate year
 // literal).
 type ObjNum struct{ T Term }
-
-// EvalNum implements NumExpr.
-func (on ObjNum) EvalNum(b *Binding) (int64, error) {
-	t, ok := b.ResolveTerm(on.T)
-	if !ok {
-		return 0, fmt.Errorf("logic: unbound term %s", on.T)
-	}
-	return termNumber(t)
-}
 
 func termNumber(t rdf.Term) (int64, error) {
 	v, err := strconv.ParseInt(t.Value, 10, 64)
@@ -296,22 +222,6 @@ type NumBin struct {
 	L, R NumExpr
 }
 
-// EvalNum implements NumExpr.
-func (nb NumBin) EvalNum(b *Binding) (int64, error) {
-	l, err := nb.L.EvalNum(b)
-	if err != nil {
-		return 0, err
-	}
-	r, err := nb.R.EvalNum(b)
-	if err != nil {
-		return 0, err
-	}
-	if nb.Op == NumAdd {
-		return l + r, nil
-	}
-	return l - r, nil
-}
-
 // NumVars implements NumExpr.
 func (nb NumBin) NumVars(dst []string) []string { return nb.R.NumVars(nb.L.NumVars(dst)) }
 
@@ -328,19 +238,6 @@ func (nb NumBin) String() string {
 type ArithCond struct {
 	Op   CmpOp
 	L, R NumExpr
-}
-
-// Eval implements Condition.
-func (c ArithCond) Eval(b *Binding) (bool, error) {
-	l, err := c.L.EvalNum(b)
-	if err != nil {
-		return false, err
-	}
-	r, err := c.R.EvalNum(b)
-	if err != nil {
-		return false, err
-	}
-	return c.Op.applyInt(l, r), nil
 }
 
 // CondVars implements Condition.

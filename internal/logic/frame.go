@@ -3,9 +3,9 @@ package logic
 // Compiled-grounding support: variables numbered into dense slots,
 // slice-indexed binding frames over dictionary codes, and conditions
 // lowered to closures. The grounder compiles each rule once per phase
-// and then joins over Frames instead of map[string]-keyed Bindings —
-// the per-matched-quad map churn this replaces was the join's dominant
-// constant factor.
+// and then joins over Frames, so a matched quad costs slice writes
+// rather than map churn. CompileCondition and CompileTime are the only
+// evaluators of conditions and time terms.
 
 import (
 	"fmt"
@@ -15,8 +15,7 @@ import (
 )
 
 // SlotMap numbers a rule's variables into dense slots. Object variables
-// and time variables live in separate spaces (they are separate maps in
-// Binding too). Slots are assigned in first-appearance order over the
+// and time variables live in separate spaces. Slots are assigned in first-appearance order over the
 // body atoms in written order, so the numbering is independent of the
 // join plan.
 type SlotMap struct {
@@ -84,14 +83,12 @@ func NewFrame(sm *SlotMap) *Frame {
 }
 
 // TimeProgram evaluates a compiled time term against a frame; ok is
-// false when a variable is unbound or an intersection is empty,
-// mirroring Binding.ResolveTime exactly.
+// false when a variable is unbound or an intersection is empty.
 type TimeProgram func(*Frame) (temporal.Interval, bool)
 
 // CompileTime lowers a time term to a closure over frames. Variables
 // absent from the slot map (possible only in rule heads) compile to an
-// always-unbound program, matching ResolveTime on a binding that never
-// assigns them.
+// always-unbound program.
 func CompileTime(t TimeTerm, sm *SlotMap) TimeProgram {
 	switch t.Kind {
 	case TimeVar:
@@ -148,9 +145,9 @@ type TermDecoder func(uint32) rdf.Term
 // cannot equal any bound variable.
 type TermEncoder func(rdf.Term) (uint32, bool)
 
-// CompiledCond is a condition lowered against a slot map, evaluated on a
-// frame with the same semantics (including error cases) as
-// Condition.Eval on the equivalent binding.
+// CompiledCond is a condition lowered against a slot map and evaluated
+// on a frame. The error reports unbound variables or non-numeric
+// operands.
 type CompiledCond func(*Frame) (bool, error)
 
 // CompileCondition lowers a condition to a closure over frames. Because
@@ -196,8 +193,8 @@ func CompileCondition(c Condition, sm *SlotMap, dec TermDecoder, enc TermEncoder
 			return op.applyInt(lv, rv), nil
 		}, nil
 	default:
-		// Unknown condition types fall back to map bindings; none exist
-		// today, but a third-party Condition must not silently misground.
+		// A third-party Condition has no compiled form and must not
+		// silently misground.
 		return nil, fmt.Errorf("logic: cannot compile condition %s", c)
 	}
 }
@@ -205,7 +202,7 @@ func CompileCondition(c Condition, sm *SlotMap, dec TermDecoder, enc TermEncoder
 // codeGetter produces the frame code of one comparison side; ok is false
 // when a constant is absent from the dictionary (it then equals nothing
 // bound). Unbound variables report an error through the returned term
-// getter instead — they indicate a scheduling bug, like legacy Eval.
+// getter instead — they indicate a scheduling bug.
 func compileCompare(c CompareCond, sm *SlotMap, dec TermDecoder, enc TermEncoder) (CompiledCond, error) {
 	type side struct {
 		slot int    // -1 for constants

@@ -2,6 +2,7 @@ package logic
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 
@@ -9,14 +10,123 @@ import (
 	"repro/internal/temporal"
 )
 
-func bindCR() *Binding {
-	b := NewBinding()
-	b.Objs["x"] = rdf.NewIRI("CR")
-	b.Objs["y"] = rdf.NewIRI("Chelsea")
-	b.Objs["z"] = rdf.NewIRI("Napoli")
-	b.Times["t"] = temporal.MustNew(2000, 2004)
-	b.Times["t'"] = temporal.MustNew(2001, 2003)
-	return b
+// testFrame is a compiled-evaluation fixture: a slot map declaring
+// every variable the tests mention, a frame binding some of them, and a
+// code-indexed term dictionary for the encoder and decoder. Variables
+// declared but never bound (u) exercise the unbound-term error paths.
+type testFrame struct {
+	sm    *SlotMap
+	fr    *Frame
+	terms []rdf.Term // code-indexed; entry 0 unused
+}
+
+func newTestFrame(objs map[string]rdf.Term, times map[string]temporal.Interval) *testFrame {
+	sm := &SlotMap{objs: map[string]int{}, times: map[string]int{}}
+	for _, v := range sortedKeys(objs, "u") {
+		sm.objs[v] = len(sm.objs)
+	}
+	for _, v := range sortedKeys(times, "u") {
+		sm.times[v] = len(sm.times)
+	}
+	tf := &testFrame{sm: sm, fr: NewFrame(sm), terms: []rdf.Term{{}}}
+	for v, term := range objs {
+		code, ok := tf.enc(term)
+		if !ok {
+			tf.terms = append(tf.terms, term)
+			code = uint32(len(tf.terms) - 1)
+		}
+		tf.fr.Objs[sm.objs[v]] = code
+	}
+	for v, iv := range times {
+		tf.fr.Times[sm.times[v]] = iv
+		tf.fr.TimeSet[sm.times[v]] = true
+	}
+	return tf
+}
+
+func sortedKeys[V any](m map[string]V, extra string) []string {
+	keys := []string{extra}
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+func (tf *testFrame) dec(code uint32) rdf.Term { return tf.terms[code] }
+
+func (tf *testFrame) enc(term rdf.Term) (uint32, bool) {
+	for code, t := range tf.terms {
+		if code > 0 && t == term {
+			return uint32(code), true
+		}
+	}
+	return 0, false
+}
+
+// eval compiles c against the fixture and evaluates it; a compile-time
+// error is reported like an evaluation error.
+func (tf *testFrame) eval(c Condition) (bool, error) {
+	cc, err := CompileCondition(c, tf.sm, tf.dec, tf.enc)
+	if err != nil {
+		return false, err
+	}
+	return cc(tf.fr)
+}
+
+// evalNum compiles a numeric expression against the fixture and
+// evaluates it.
+func (tf *testFrame) evalNum(e NumExpr) (int64, error) {
+	prog, err := compileNum(e, tf.sm, tf.dec)
+	if err != nil {
+		return 0, err
+	}
+	return prog(tf.fr)
+}
+
+// resolveAtom instantiates a quad atom under the frame the way the
+// grounder resolves rule heads: object positions through their slots,
+// the time position through CompileTime. ok is false when any variable
+// is undeclared or unbound, or the time expression is empty.
+func (tf *testFrame) resolveAtom(a QuadAtom) (rdf.FactKey, bool) {
+	term := func(t Term) (rdf.Term, bool) {
+		if !t.IsVar() {
+			return t.Const, true
+		}
+		slot, ok := tf.sm.ObjSlot(t.Var)
+		if !ok || tf.fr.Objs[slot] == 0 {
+			return rdf.Term{}, false
+		}
+		return tf.dec(tf.fr.Objs[slot]), true
+	}
+	s, ok := term(a.S)
+	if !ok {
+		return rdf.FactKey{}, false
+	}
+	p, ok := term(a.P)
+	if !ok {
+		return rdf.FactKey{}, false
+	}
+	o, ok := term(a.O)
+	if !ok {
+		return rdf.FactKey{}, false
+	}
+	iv, ok := CompileTime(a.T, tf.sm)(tf.fr)
+	if !ok {
+		return rdf.FactKey{}, false
+	}
+	return rdf.FactKey{S: s, P: p, O: o, Interval: iv}, true
+}
+
+func bindCR() *testFrame {
+	return newTestFrame(map[string]rdf.Term{
+		"x": rdf.NewIRI("CR"),
+		"y": rdf.NewIRI("Chelsea"),
+		"z": rdf.NewIRI("Napoli"),
+	}, map[string]temporal.Interval{
+		"t":  temporal.MustNew(2000, 2004),
+		"t'": temporal.MustNew(2001, 2003),
+	})
 }
 
 func TestTermString(t *testing.T) {
@@ -48,7 +158,7 @@ func TestTimeTermResolve(t *testing.T) {
 		{TSpan(TV("t"), TV("missing")), temporal.Interval{}, false},
 	}
 	for i, tc := range tests {
-		got, ok := b.ResolveTime(tc.tt)
+		got, ok := CompileTime(tc.tt, b.sm)(b.fr)
 		if ok != tc.wantOK || (ok && got != tc.want) {
 			t.Errorf("case %d (%s): got %v,%v want %v,%v", i, tc.tt, got, ok, tc.want, tc.wantOK)
 		}
@@ -66,19 +176,10 @@ func TestTimeTermVarsAndString(t *testing.T) {
 	}
 }
 
-func TestBindingClone(t *testing.T) {
-	b := bindCR()
-	c := b.Clone()
-	c.Objs["x"] = rdf.NewIRI("other")
-	c.Times["t"] = temporal.MustNew(1, 1)
-	if b.Objs["x"].Value != "CR" || b.Times["t"] != temporal.MustNew(2000, 2004) {
-		t.Error("Clone should not share maps")
-	}
-}
-
 func TestQuadAtomResolve(t *testing.T) {
 	a := QuadAtom{S: V("x"), P: CIRI("coach"), O: V("y"), T: TV("t")}
-	key, ok := a.Resolve(bindCR())
+	b := bindCR()
+	key, ok := b.resolveAtom(a)
 	if !ok {
 		t.Fatal("Resolve failed")
 	}
@@ -87,16 +188,16 @@ func TestQuadAtomResolve(t *testing.T) {
 	if key != want {
 		t.Errorf("key = %v, want %v", key, want)
 	}
-	if _, ok := (QuadAtom{S: V("nope"), P: CIRI("p"), O: V("y"), T: TV("t")}).Resolve(bindCR()); ok {
+	if _, ok := b.resolveAtom(QuadAtom{S: V("nope"), P: CIRI("p"), O: V("y"), T: TV("t")}); ok {
 		t.Error("unbound subject should fail")
 	}
-	if _, ok := (QuadAtom{S: V("x"), P: CIRI("p"), O: V("nope"), T: TV("t")}).Resolve(bindCR()); ok {
+	if _, ok := b.resolveAtom(QuadAtom{S: V("x"), P: CIRI("p"), O: V("nope"), T: TV("t")}); ok {
 		t.Error("unbound object should fail")
 	}
-	if _, ok := (QuadAtom{S: V("x"), P: V("nope"), O: V("y"), T: TV("t")}).Resolve(bindCR()); ok {
+	if _, ok := b.resolveAtom(QuadAtom{S: V("x"), P: V("nope"), O: V("y"), T: TV("t")}); ok {
 		t.Error("unbound predicate should fail")
 	}
-	if _, ok := (QuadAtom{S: V("x"), P: CIRI("p"), O: V("y"), T: TV("nope")}).Resolve(bindCR()); ok {
+	if _, ok := b.resolveAtom(QuadAtom{S: V("x"), P: CIRI("p"), O: V("y"), T: TV("nope")}); ok {
 		t.Error("unbound time should fail")
 	}
 }
@@ -120,15 +221,15 @@ func TestAllenCondEval(t *testing.T) {
 		{AllenCond{Rels: temporal.DisjointSet, L: TV("t"), R: TV("t'")}, false},
 	}
 	for i, tc := range tests {
-		got, err := tc.c.Eval(b)
+		got, err := b.eval(tc.c)
 		if err != nil || got != tc.want {
 			t.Errorf("case %d: got %v,%v want %v", i, got, err, tc.want)
 		}
 	}
-	if _, err := (AllenCond{Rels: temporal.DisjointSet, L: TV("u"), R: TV("t")}).Eval(b); err == nil {
+	if _, err := b.eval(AllenCond{Rels: temporal.DisjointSet, L: TV("u"), R: TV("t")}); err == nil {
 		t.Error("unbound left time should error")
 	}
-	if _, err := (AllenCond{Rels: temporal.DisjointSet, L: TV("t"), R: TV("u")}).Eval(b); err == nil {
+	if _, err := b.eval(AllenCond{Rels: temporal.DisjointSet, L: TV("t"), R: TV("u")}); err == nil {
 		t.Error("unbound right time should error")
 	}
 }
@@ -147,79 +248,74 @@ func TestAllenCondString(t *testing.T) {
 func TestCompareCondEval(t *testing.T) {
 	b := bindCR()
 	eq := CompareCond{Op: EQ, L: V("y"), R: V("z")}
-	if got, err := eq.Eval(b); err != nil || got {
+	if got, err := b.eval(eq); err != nil || got {
 		t.Errorf("Chelsea = Napoli evaluated %v,%v", got, err)
 	}
 	ne := CompareCond{Op: NE, L: V("y"), R: V("z")}
-	if got, err := ne.Eval(b); err != nil || !got {
+	if got, err := b.eval(ne); err != nil || !got {
 		t.Errorf("Chelsea != Napoli evaluated %v,%v", got, err)
 	}
 	same := CompareCond{Op: EQ, L: V("y"), R: CIRI("Chelsea")}
-	if got, err := same.Eval(b); err != nil || !got {
+	if got, err := b.eval(same); err != nil || !got {
 		t.Errorf("y = Chelsea evaluated %v,%v", got, err)
 	}
-	if _, err := (CompareCond{Op: EQ, L: V("u"), R: V("y")}).Eval(b); err == nil {
+	if _, err := b.eval(CompareCond{Op: EQ, L: V("u"), R: V("y")}); err == nil {
 		t.Error("unbound compare should error")
 	}
 	// Ordered comparison on numeric literals.
-	nb := NewBinding()
-	nb.Objs["a"] = rdf.Integer(3)
-	nb.Objs["b"] = rdf.Integer(12)
+	nb := newTestFrame(map[string]rdf.Term{"a": rdf.Integer(3), "b": rdf.Integer(12)}, nil)
 	lt := CompareCond{Op: LT, L: V("a"), R: V("b")}
-	if got, err := lt.Eval(nb); err != nil || !got {
+	if got, err := nb.eval(lt); err != nil || !got {
 		t.Errorf("3 < 12 evaluated %v,%v", got, err)
 	}
 	// Ordered comparison falls back to lexicographic for non-numbers.
-	sb := NewBinding()
-	sb.Objs["a"] = rdf.NewIRI("apple")
-	sb.Objs["b"] = rdf.NewIRI("banana")
-	if got, err := (CompareCond{Op: LT, L: V("a"), R: V("b")}).Eval(sb); err != nil || !got {
+	sb := newTestFrame(map[string]rdf.Term{"a": rdf.NewIRI("apple"), "b": rdf.NewIRI("banana")}, nil)
+	if got, err := sb.eval(CompareCond{Op: LT, L: V("a"), R: V("b")}); err != nil || !got {
 		t.Errorf("apple < banana evaluated %v,%v", got, err)
 	}
 }
 
 func TestArithCondEval(t *testing.T) {
-	b := NewBinding()
-	b.Times["t"] = temporal.MustNew(1984, 1986)  // playsFor spell
-	b.Times["t'"] = temporal.MustNew(1951, 2017) // birth interval
+	b := newTestFrame(nil, map[string]temporal.Interval{
+		"t":  temporal.MustNew(1984, 1986), // playsFor spell
+		"t'": temporal.MustNew(1951, 2017), // birth interval
+	})
 	// Age at spell start: start(t) - start(t') = 33.
 	age := NumBin{Op: NumSub, L: TimeNum{Acc: AccStart, T: TV("t")}, R: TimeNum{Acc: AccStart, T: TV("t'")}}
 	teen := ArithCond{Op: LT, L: age, R: NumConst(20)}
-	if got, err := teen.Eval(b); err != nil || got {
+	if got, err := b.eval(teen); err != nil || got {
 		t.Errorf("33 < 20 evaluated %v,%v", got, err)
 	}
 	adult := ArithCond{Op: GE, L: age, R: NumConst(20)}
-	if got, err := adult.Eval(b); err != nil || !got {
+	if got, err := b.eval(adult); err != nil || !got {
 		t.Errorf("33 >= 20 evaluated %v,%v", got, err)
 	}
 	dur := ArithCond{Op: EQ, L: TimeNum{Acc: AccDuration, T: TV("t")}, R: NumConst(3)}
-	if got, err := dur.Eval(b); err != nil || !got {
+	if got, err := b.eval(dur); err != nil || !got {
 		t.Errorf("duration = 3 evaluated %v,%v", got, err)
 	}
 	end := ArithCond{Op: EQ, L: TimeNum{Acc: AccEnd, T: TV("t")}, R: NumConst(1986)}
-	if got, err := end.Eval(b); err != nil || !got {
+	if got, err := b.eval(end); err != nil || !got {
 		t.Errorf("end = 1986 evaluated %v,%v", got, err)
 	}
 	add := ArithCond{Op: EQ, L: NumBin{Op: NumAdd, L: NumConst(2), R: NumConst(3)}, R: NumConst(5)}
-	if got, err := add.Eval(b); err != nil || !got {
+	if got, err := b.eval(add); err != nil || !got {
 		t.Errorf("2+3=5 evaluated %v,%v", got, err)
 	}
-	if _, err := (ArithCond{Op: LT, L: TimeNum{Acc: AccStart, T: TV("u")}, R: NumConst(0)}).Eval(b); err == nil {
+	if _, err := b.eval(ArithCond{Op: LT, L: TimeNum{Acc: AccStart, T: TV("u")}, R: NumConst(0)}); err == nil {
 		t.Error("unbound time in arithmetic should error")
 	}
 }
 
 func TestObjNumEval(t *testing.T) {
-	b := NewBinding()
-	b.Objs["z"] = rdf.Integer(1951)
-	b.Objs["s"] = rdf.NewIRI("Chelsea")
-	if v, err := (ObjNum{T: V("z")}).EvalNum(b); err != nil || v != 1951 {
+	b := newTestFrame(map[string]rdf.Term{"z": rdf.Integer(1951), "s": rdf.NewIRI("Chelsea")}, nil)
+	if v, err := b.evalNum(ObjNum{T: V("z")}); err != nil || v != 1951 {
 		t.Errorf("ObjNum = %d,%v", v, err)
 	}
-	if _, err := (ObjNum{T: V("s")}).EvalNum(b); err == nil {
+	if _, err := b.evalNum(ObjNum{T: V("s")}); err == nil {
 		t.Error("non-numeric term should error")
 	}
-	if _, err := (ObjNum{T: V("u")}).EvalNum(b); err == nil {
+	if _, err := b.evalNum(ObjNum{T: V("u")}); err == nil {
 		t.Error("unbound term should error")
 	}
 }

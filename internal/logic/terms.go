@@ -154,74 +154,6 @@ func (t TimeTerm) Vars(dst []string) []string {
 	}
 }
 
-// Binding assigns constants to object variables and intervals to time
-// variables during grounding.
-type Binding struct {
-	Objs  map[string]rdf.Term
-	Times map[string]temporal.Interval
-}
-
-// NewBinding returns an empty binding.
-func NewBinding() *Binding {
-	return &Binding{Objs: make(map[string]rdf.Term), Times: make(map[string]temporal.Interval)}
-}
-
-// Clone deep-copies the binding.
-func (b *Binding) Clone() *Binding {
-	nb := NewBinding()
-	for k, v := range b.Objs {
-		nb.Objs[k] = v
-	}
-	for k, v := range b.Times {
-		nb.Times[k] = v
-	}
-	return nb
-}
-
-// ResolveTerm returns the constant a term denotes under the binding; ok
-// is false for unbound variables.
-func (b *Binding) ResolveTerm(t Term) (rdf.Term, bool) {
-	if !t.IsVar() {
-		return t.Const, true
-	}
-	v, ok := b.Objs[t.Var]
-	return v, ok
-}
-
-// ResolveTime evaluates a time term under the binding. ok is false when a
-// variable is unbound or an intersection expression is empty.
-func (b *Binding) ResolveTime(t TimeTerm) (temporal.Interval, bool) {
-	switch t.Kind {
-	case TimeVar:
-		iv, ok := b.Times[t.Var]
-		return iv, ok
-	case TimeConst:
-		return t.Const, true
-	case TimeIntersect:
-		l, ok := b.ResolveTime(*t.L)
-		if !ok {
-			return temporal.Interval{}, false
-		}
-		r, ok := b.ResolveTime(*t.R)
-		if !ok {
-			return temporal.Interval{}, false
-		}
-		return l.Intersect(r)
-	case TimeSpan:
-		l, ok := b.ResolveTime(*t.L)
-		if !ok {
-			return temporal.Interval{}, false
-		}
-		r, ok := b.ResolveTime(*t.R)
-		if !ok {
-			return temporal.Interval{}, false
-		}
-		return l.Span(r), true
-	default:
-		return temporal.Interval{}, false
-	}
-}
-
 // QuadAtom is an atom over the quad predicate: quad(S, P, O, T).
 type QuadAtom struct {
 	S, P, O Term
@@ -241,27 +173,4 @@ func (a QuadAtom) Vars(dst []string) []string {
 		}
 	}
 	return a.T.Vars(dst)
-}
-
-// Resolve instantiates the atom under a binding into a ground fact key.
-// ok is false when any variable is unbound or the time expression is
-// empty.
-func (a QuadAtom) Resolve(b *Binding) (rdf.FactKey, bool) {
-	s, ok := b.ResolveTerm(a.S)
-	if !ok {
-		return rdf.FactKey{}, false
-	}
-	p, ok := b.ResolveTerm(a.P)
-	if !ok {
-		return rdf.FactKey{}, false
-	}
-	o, ok := b.ResolveTerm(a.O)
-	if !ok {
-		return rdf.FactKey{}, false
-	}
-	iv, ok := b.ResolveTime(a.T)
-	if !ok {
-		return rdf.FactKey{}, false
-	}
-	return rdf.FactKey{S: s, P: p, O: o, Interval: iv}, true
 }

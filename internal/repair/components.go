@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/ground"
-	"repro/internal/logic"
 	"repro/internal/par"
 	"repro/internal/translate"
 )
@@ -15,17 +14,18 @@ import (
 // Clauses never cross conflict components, so every piece of the
 // read-out — fact classification, confidence propagation, conflict
 // clusters, explanations, violation counts — is a per-component
-// computation followed by a deterministic merge. ResolveComponents is
+// computation followed by a deterministic merge. BeginComponents is
 // the repair layer's counterpart of the solvers' MAPGroundComponents:
 // it runs one resolveUnit per component on the shared orchestration
 // layer (internal/engine), caches each component's finished read-out
 // under (component key, generation, membership) plus the component's
 // MAP assignment, and on an incremental update re-repairs only the
-// components the delta dirtied. Reusing a cached unit is sound because
-// a unit depends only on the component's clauses, its atoms'
-// evidence/confidence state (both covered by the generation) and its
-// slice of the MAP state (checked explicitly against the cached
-// assignment).
+// components the delta dirtied; ComponentRun.Finish then patches the
+// session's LiveOutcome with the dirtied components' read-outs.
+// Reusing a cached unit is sound because a unit depends only on the
+// component's clauses, its atoms' evidence/confidence state (both
+// covered by the generation) and its slice of the MAP state (checked
+// explicitly against the cached assignment).
 
 // ComponentCache carries per-component repair read-outs across the
 // incremental engine's solves, plus the reusable confidence scratch
@@ -54,9 +54,6 @@ func NewComponentCache() *ComponentCache {
 // confScratch returns a zero-filling-free confidence buffer covering n
 // atoms; units overwrite their own scope's entries before reading them.
 func (c *ComponentCache) confScratch(n int) []float64 {
-	if c == nil {
-		return make([]float64, n)
-	}
 	if cap(c.conf) < n {
 		c.conf = make([]float64, n)
 	}
@@ -74,40 +71,6 @@ type compUnit struct {
 	values []float64 // aligned with the component's atoms; nil for MLN
 }
 
-// ResolveComponents interprets the translator output as a conflict
-// resolution computed per conflict component, reusing cached
-// per-component read-outs for components whose subproblem and MAP
-// assignment are unchanged. plan, when non-nil, is the shared
-// decomposition the solver stage already built; nil builds one here.
-// The merged Outcome is byte-identical to whole-graph Resolve over the
-// same state, at every Parallelism setting. Falls back to whole-graph
-// Resolve when the solve kept no indexed clause set.
-func ResolveComponents(out *translate.Output, prog *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache) (*Outcome, error) {
-	run, err := BeginComponents(out, prog, opts, plan, cache, nil)
-	if err != nil {
-		return nil, err
-	}
-	oc, _, err := run.Finish()
-	return oc, err
-}
-
-// ResolveComponentsLive is ResolveComponents with the Outcome
-// delta-patched on live instead of assembled from scratch: components
-// whose read-out is unchanged keep their contribution to the global
-// fact/cluster lists, dirtied ones are subtracted and re-spliced, and
-// the returned OutcomeDelta is the changelog of what entered or left
-// each list this solve. The materialized Outcome stays byte-identical
-// to whole-graph Resolve. live must be synced by every component solve
-// it survives (the session owns and invalidates it); on the whole-graph
-// fallback it is reset and the delta is nil.
-func ResolveComponentsLive(out *translate.Output, prog *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*Outcome, *OutcomeDelta, error) {
-	run, err := BeginComponents(out, prog, opts, plan, cache, live)
-	if err != nil {
-		return nil, nil, err
-	}
-	return run.Finish()
-}
-
 // ComponentRun is a component read-out paused between its two phases:
 // BeginComponents runs the per-component analysis, Finish produces the
 // Outcome. The split lets the session profile and time the two under
@@ -119,7 +82,6 @@ type ComponentRun struct {
 	cached []bool
 	live   *LiveOutcome
 	start  time.Time
-	done   bool // whole-graph fallback: Finish has nothing left to do
 	// dirtyOnly marks an analysis restricted to the planner's change
 	// set: units/cached are indexed by position in dirty, not by
 	// component.
@@ -130,18 +92,13 @@ type ComponentRun struct {
 
 // BeginComponents runs the analysis phase of the component-decomposed
 // read-out — the per-component repair units, reusing cached ones —
-// leaving the Outcome to Finish. See ResolveComponents for semantics.
-func BeginComponents(out *translate.Output, prog *logic.Program, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*ComponentRun, error) {
-	if out.Clauses == nil || !out.Clauses.HasAtomIndex() {
-		if live != nil {
-			live.Reset()
-		}
-		oc, err := Resolve(out, prog, opts)
-		if err != nil {
-			return nil, err
-		}
-		return &ComponentRun{oc: oc, done: true}, nil
-	}
+// leaving the Outcome to Finish. out must carry the session's indexed
+// clause set and plan its shared decomposition (the one the solver
+// stage used); cache and live are the session's read-out caches, which
+// must be synced by every component solve they survive. The
+// materialized Outcome is byte-identical to whole-graph Resolve over
+// the same state, at every Parallelism setting.
+func BeginComponents(out *translate.Output, opts Options, plan *engine.Plan, cache *ComponentCache, live *LiveOutcome) (*ComponentRun, error) {
 	opts = opts.withDefaults()
 	start := time.Now()
 	oc := newOutcome(out)
@@ -150,30 +107,21 @@ func BeginComponents(out *translate.Output, prog *logic.Program, opts Options, p
 	rs.Repaired = 0
 
 	atoms := out.Grounder.Atoms()
-	if plan == nil {
-		plan = engine.NewPlan(atoms, out.Clauses)
-	}
-	if live != nil {
-		live.deferSplices = opts.DeltaOnly
-	}
+	live.deferSplices = opts.DeltaOnly
 	// The dirty-only analysis needs every link of the chain: the solver
 	// vouches that truth outside the plan's dirty components is
 	// bit-identical to the previous solve (TruthDelta), the unit cache
 	// covers the previous generation completely with verified units, and
 	// the live outcome holds every component of that generation. Any gap
 	// falls back to the full pass, which re-anchors all three cursors.
-	if cache != nil && live != nil && plan.Maintained() && out.TruthDelta() &&
+	if plan.Maintained() && out.TruthDelta() &&
 		cache.complete && cache.gen+1 == plan.Gen() && live.CurrentFor(plan) {
 		return beginComponentsDirty(out, opts, plan, cache, live, oc, start)
 	}
 	// Shared across units: each writes only its own component's atoms,
 	// so disjoint components repair concurrently.
 	conf := cache.confScratch(atoms.Len())
-
-	var unitCache *engine.Cache[compUnit]
-	if cache != nil {
-		unitCache = cache.units
-	}
+	unitCache := cache.units
 	analysisStart := time.Now()
 	units, cached, err := engine.Run(plan, opts.Parallelism, unitCache,
 		func(i int, e compUnit) (compUnit, bool) {
@@ -215,12 +163,10 @@ func BeginComponents(out *translate.Output, prog *logic.Program, opts Options, p
 	} else {
 		unitCache.Replace(plan.Comps, func(i int) compUnit { return units[i] })
 	}
-	if cache != nil {
-		// The full pass verified (or recomputed) a unit for every
-		// component against this solve's truth: the cursor re-anchors.
-		cache.gen = plan.Gen()
-		cache.complete = true
-	}
+	// The full pass verified (or recomputed) a unit for every component
+	// against this solve's truth: the cursor re-anchors.
+	cache.gen = plan.Gen()
+	cache.complete = true
 	return &ComponentRun{oc: oc, plan: plan, units: units, cached: cached, live: live, start: start, deltaOnly: opts.DeltaOnly}, nil
 }
 
@@ -321,39 +267,17 @@ func computeUnit(out *translate.Output, comp *ground.Component, conf []float64, 
 	return cu
 }
 
-// Finish produces the Outcome from the analysis phase: the sort/merge
-// assembly when no live outcome is maintained, the delta-patched live
-// sync otherwise.
+// Finish produces the Outcome from the analysis phase by the
+// delta-patched live sync: dirty components subtract their previous
+// contribution and splice in the new one; clean components' held
+// patches stand. A repair-cache hit (cached[i]) proves the unit content
+// unchanged since the last component solve, and the engine-cache lookup
+// inside sync proves the live outcome still holds that component — both
+// must hold for a skip.
 func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta, error) {
-	if r.done {
-		return r.oc, nil, nil
-	}
 	oc, plan, units, cached, live := r.oc, r.plan, r.units, r.cached, r.live
 	rs := oc.Stats.Repair
-	start := r.start
-
 	os := oc.Stats.Outcome
-	if live == nil {
-		mergeStart := time.Now()
-		merged := make([]*unit, len(units))
-		for i := range units {
-			merged[i] = &units[i].unit
-		}
-		assembleOutcome(oc, merged)
-		rs.Merge = time.Since(mergeStart)
-		os.Patched = len(units)
-		os.Merge = rs.Merge
-		os.Total = rs.Merge
-		rs.Total = time.Since(start)
-		return oc, nil, nil
-	}
-
-	// Live path: dirty components subtract their previous contribution
-	// and splice in the new one; clean components' held patches stand.
-	// A repair-cache hit (cached[i]) proves the unit content unchanged
-	// since the last component solve, and the engine-cache lookup inside
-	// sync proves the live outcome still holds that component — both
-	// must hold for a skip.
 	indexStart := time.Now()
 	if r.dirtyOnly {
 		// units/cached are indexed by position in r.dirty; only those
@@ -413,6 +337,6 @@ func (r *ComponentRun) Finish() (*Outcome, *OutcomeDelta, error) {
 	os.Patched, os.Reused = live.patched, live.reused
 	os.Merge = rs.Merge
 	os.Total = os.Index + os.Merge
-	rs.Total = time.Since(start)
+	rs.Total = time.Since(r.start)
 	return oc, live.Delta(), nil
 }

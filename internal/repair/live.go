@@ -28,9 +28,8 @@ import (
 
 // Outcome read-out modes reported in OutcomeStats.Mode.
 const (
-	// OutcomeAssembled is the from-scratch sort/merge of every read-out
-	// unit (whole-graph Resolve, and ResolveComponents without a live
-	// outcome).
+	// OutcomeAssembled is the from-scratch sort/merge of whole-graph
+	// Resolve's read-out.
 	OutcomeAssembled = "assembled"
 	// OutcomeLive is the delta-patched read-out: per-component patches
 	// applied to the session's live outcome.
@@ -49,8 +48,8 @@ type OutcomeStats struct {
 	Mode string
 	// Patched counts components whose contribution was (re)applied to
 	// the live outcome this solve; Reused counts components whose held
-	// contribution was kept untouched. In assembled mode Patched is the
-	// number of units merged.
+	// contribution was kept untouched. In assembled mode Patched is 1
+	// (the whole-graph unit).
 	Patched int
 	Reused  int
 	// Index is the time spent maintaining the global indices (patch

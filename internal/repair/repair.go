@@ -11,7 +11,7 @@
 // classification, confidence propagation, conflict clusters,
 // explanations and violation counts — is computed per clause-connected
 // scope (resolveUnit) and merged deterministically (assembleOutcome).
-// Resolve runs one unit over the whole graph; ResolveComponents (see
+// Resolve runs one unit over the whole graph; BeginComponents (see
 // components.go) runs one unit per conflict component with a
 // per-component cache, so an incremental update re-repairs only the
 // components it dirtied.
@@ -41,7 +41,7 @@ type Options struct {
 	// within the bound; the bound only cuts off pathological cascades.
 	ConfidenceRounds int
 	// Parallelism bounds the worker pool of the component-decomposed
-	// read-out (ResolveComponents): 0 uses GOMAXPROCS, 1 forces the
+	// read-out (BeginComponents): 0 uses GOMAXPROCS, 1 forces the
 	// sequential path. The Outcome is identical at every setting.
 	Parallelism int
 	// DeltaOnly skips materializing the global fact and cluster lists on
@@ -101,7 +101,7 @@ const (
 	// program.
 	RepairWholeGraph = "whole-graph"
 	// RepairComponents is the component-decomposed read-out with
-	// per-component caching (ResolveComponents).
+	// per-component caching (BeginComponents).
 	RepairComponents = "components"
 )
 

@@ -32,7 +32,7 @@ import (
 //	                                   adds+removes (+solve) in one request
 //	POST   /api/sessions/{id}/solve   {solver, threshold, parallelism,
 //	                                   componentSolve, componentExactLimit,
-//	                                   coldStart, rebuildPlan} → SolveResponse
+//	                                   coldStart, delta} → SolveResponse
 //	DELETE /api/sessions/{id}         → drops the session
 //
 // Sessions live in a bounded LRU table; creating one past the capacity
@@ -375,11 +375,11 @@ func (s *Server) handleSessionFacts(w http.ResponseWriter, r *http.Request) {
 		resp.Added = len(d.Added)
 		resp.Updated = len(d.Updated)
 	}
-	ss.publish(nil, "")
 	if err := ss.sess.Sync(); err != nil {
 		httpError(w, http.StatusInternalServerError, "persisting facts: %v", err)
 		return
 	}
+	ss.publish(nil, "")
 	resp.Facts = st.Len()
 	resp.Epoch = uint64(st.Epoch())
 	writeJSON(w, resp)
@@ -494,11 +494,6 @@ type SessionSolveRequest struct {
 	// ColdStart disables warm-starting from the previous solution (and
 	// drops the per-component solution cache for this solve).
 	ColdStart bool `json:"coldStart,omitempty"`
-	// RebuildPlan forces this solve to build its component decomposition
-	// plan from scratch instead of patching the session's delta-maintained
-	// plan — the from-scratch baseline (stats.Plan reports which path
-	// ran and its timing).
-	RebuildPlan bool `json:"rebuildPlan,omitempty"`
 	// Delta requests changelog mode: the response carries only the
 	// facts and clusters that entered or left each Outcome list since
 	// the session's previous solve (plus statistics), not the full
@@ -585,7 +580,6 @@ func (s *Server) solveLocked(ss *session, solver translate.Solver, req SessionSo
 		ComponentSolve:      req.ComponentSolve,
 		ComponentExactLimit: req.ComponentExactLimit,
 		ColdStart:           req.ColdStart,
-		RebuildPlan:         req.RebuildPlan,
 	})
 	if err != nil {
 		return nil, 0, err

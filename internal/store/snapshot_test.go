@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -56,9 +57,9 @@ func TestSnapshotTombstoneRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeV1 writes the legacy TQS1 snapshot layout: live facts only, no
-// epoch watermark, no checksum trailer. Save no longer produces it, so
-// the compatibility test constructs it by hand.
+// encodeV1 writes the retired TQS1 snapshot layout: live facts only, no
+// epoch watermark, no checksum trailer. Load must reject it; the
+// rejection test and the fuzz corpus construct it by hand.
 func encodeV1(g rdf.Graph) []byte {
 	var buf bytes.Buffer
 	var tmp [binary.MaxVarintLen64]byte
@@ -104,26 +105,18 @@ func encodeV1(g rdf.Graph) []byte {
 	return buf.Bytes()
 }
 
-func TestSnapshotV1Compat(t *testing.T) {
-	g := figure1Graph()
-	back, err := Load(bytes.NewReader(encodeV1(g)))
-	if err != nil {
-		t.Fatalf("Load(v1): %v", err)
-	}
-	if back.Len() != len(g) {
-		t.Fatalf("Len = %d, want %d", back.Len(), len(g))
-	}
-	for i, q := range g {
-		if got := back.Fact(FactID(i)); got != q {
-			t.Errorf("fact %d = %v, want %v", i, got, q)
+// TestSnapshotV1Rejected: TQS1 was never written by any release, so
+// Load has no reader for it — a TQS1-magic input, well-formed or not,
+// is an error like any other unknown magic.
+func TestSnapshotV1Rejected(t *testing.T) {
+	for _, data := range [][]byte{encodeV1(figure1Graph()), []byte("TQS1\x01"), []byte("TQS1")} {
+		st, err := Load(bytes.NewReader(data))
+		if err == nil {
+			t.Fatalf("Load(%q...) accepted a TQS1 snapshot with %d facts", data[:4], st.Len())
 		}
-	}
-	// A v1 load starts a fresh epoch history: one epoch per add.
-	if back.Epoch() != Epoch(len(g)) {
-		t.Errorf("Epoch = %d, want %d", back.Epoch(), len(g))
-	}
-	if got := back.Count(Pattern{P: rdf.NewIRI("coach")}); got != 3 {
-		t.Errorf("Count(coach) = %d, want 3", got)
+		if !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("Load(TQS1) error = %v, want a bad-magic error", err)
+		}
 	}
 }
 

@@ -434,68 +434,3 @@ func TestOutcomeDeltaClusterScoped(t *testing.T) {
 		t.Fatalf("probe should not shrink the cluster count: %d → %d", before, got)
 	}
 }
-
-// TestOutcomeAssembledKnob: AssembledOutcome forces the sort/merge
-// assembly (no changelog), and interleaving assembled and live solves
-// must not let the live outcome replay stale state afterwards.
-func TestOutcomeAssembledKnob(t *testing.T) {
-	pool := componentPool(3, 3, 233)
-	s := tecore.NewSession()
-	if err := s.LoadProgramText(componentProgram); err != nil {
-		t.Fatal(err)
-	}
-	for i := range pool {
-		if i%2 == 0 {
-			if err := s.AddFact(pool[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	live := exactEverywhere(tecore.SolveOptions{Solver: tecore.SolverMLN, ComponentSolve: true})
-	assembled := live
-	assembled.AssembledOutcome = true
-
-	res, err := s.Solve(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLiveByteIdentical(t, 0, res, s.Program(), 0)
-
-	// Assembled solve on the warm session: same Outcome, no delta.
-	res2, err := s.Solve(assembled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Delta != nil {
-		t.Fatal("assembled solve must not report a changelog")
-	}
-	if ocs := res2.Stats.Outcome; ocs == nil || ocs.Mode != tecore.OutcomeAssembled {
-		t.Fatalf("AssembledOutcome did not force assembly: %+v", res2.Stats.Outcome)
-	}
-	a, b := *res.Outcome, *res2.Outcome
-	a.Stats.Repair, b.Stats.Repair = nil, nil
-	a.Stats.Outcome, b.Stats.Outcome = nil, nil
-	a.Stats.Ground, b.Stats.Ground = nil, nil
-	a.Stats.Plan, b.Stats.Plan = nil, nil
-	a.Stats.Runtime, b.Stats.Runtime = 0, 0
-	a.Stats.Components, b.Stats.Components = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("assembled and live outcomes diverged on an unchanged session")
-	}
-
-	// Mutate while the live outcome is dropped, then go live again: the
-	// repair cache moved past the dropped live state, so the live path
-	// must rebuild, not replay.
-	if err := s.AddFact(pool[1]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Solve(assembled); err != nil {
-		t.Fatal(err)
-	}
-	s.RemoveFact(pool[2])
-	res3, err := s.Solve(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLiveByteIdentical(t, 3, res3, s.Program(), 0)
-}

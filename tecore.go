@@ -166,7 +166,8 @@ type ComponentStats = ground.ComponentStats
 // solve: whether the plan was patched in place ("maintained") or built
 // from scratch ("rebuilt"), the splice and partition-patch counts, and
 // the sync wall time; available as Stats.Plan (nil on monolithic
-// solves). SolveOptions.RebuildPlan forces the from-scratch baseline.
+// solves). The planner rebuilds on its first sync and as its fallback
+// for large deltas.
 type PlanStats = engine.PlanStats
 
 // GroundStats summarises the grounding stage of a solve — total wall
@@ -181,12 +182,10 @@ type RuleGroundStats = ground.RuleGroundStats
 // GroundProfile runs one cold grounding pass over the session's store
 // and program on a throwaway grounder — without touching the cached
 // incremental engine — and returns the grounding statistics plus the
-// atom and clause counts of the resulting network. With legacy set it
-// uses the pre-compilation string-keyed path; the grounding benchmark
-// calls it both ways to compare the compiled pipeline against the
-// baseline on identical input.
-func GroundProfile(s *Session, legacy bool, parallelism int) (*GroundStats, int, int, error) {
-	return core.GroundProfile(s, legacy, parallelism)
+// atom and clause counts of the resulting network; the grounding
+// benchmark times it.
+func GroundProfile(s *Session, parallelism int) (*GroundStats, int, int, error) {
+	return core.GroundProfile(s, parallelism)
 }
 
 // RepairStats summarises the conflict-resolution read-out stage — mode
